@@ -7,8 +7,8 @@
 //! [`spec_to_value`] renders the canonical document back. Round-trips
 //! are byte-identical: `spec_to_value(spec).to_string()` is a fixed
 //! point of parse→render. Every registry builtin ships as a bundled
-//! document (see [`bundled`]) pinned by the `spec_parity` tests to
-//! interpret bit-identically to its native module.
+//! document (see [`bundled`]) pinned by the `spec_parity` tests to be
+//! the canonical rendering of its registry spec.
 
 use std::collections::BTreeMap;
 
@@ -433,8 +433,8 @@ pub fn spec_from_json(text: &str) -> Result<ArchSpec, Error> {
 /// `(canonical name, canonical JSON text)` pairs in registry order.
 ///
 /// The `spec_parity` suite pins each text to byte-equal the rendering of
-/// the builtin's [`tbstc_sim::ArchModel::spec`] and to interpret
-/// bit-identically to the native module.
+/// the builtin's [`tbstc_sim::ArchModel::spec`]; inline-`arch_spec` cache
+/// keys depend on that canonical rendering.
 pub fn bundled() -> [(&'static str, &'static str); 8] {
     [
         ("tc", include_str!("../specs/tc.json")),
@@ -463,12 +463,12 @@ mod tests {
 
     #[test]
     fn builtin_specs_roundtrip_byte_identically() {
-        for model in REGISTRY {
+        for model in REGISTRY.iter() {
             let spec = model.spec();
-            let text = spec_to_value(&spec).to_string();
+            let text = spec_to_value(spec).to_string();
             let back =
                 spec_from_json(&text).unwrap_or_else(|e| panic!("{}: {e}", model.canonical_name()));
-            assert_eq!(back, spec, "{}", model.canonical_name());
+            assert_eq!(&back, spec, "{}", model.canonical_name());
             assert_eq!(
                 spec_to_value(&back).to_string(),
                 text,
@@ -480,14 +480,14 @@ mod tests {
 
     #[test]
     fn unknown_fields_are_named() {
-        let mut v = spec_to_value(&Arch::TbStc.model().spec());
+        let mut v = spec_to_value(Arch::TbStc.model().spec());
         if let Json::Obj(m) = &mut v {
             m.insert("warp_size".into(), Json::Int(32));
         }
         let e = spec_from_value(&v).unwrap_err().to_string();
         assert!(e.contains("arch_spec.warp_size"), "{e}");
 
-        let mut v = spec_to_value(&Arch::TbStc.model().spec());
+        let mut v = spec_to_value(Arch::TbStc.model().spec());
         if let Json::Obj(m) = &mut v {
             if let Some(Json::Obj(df)) = m.get_mut("dataflow") {
                 df.insert("depth".into(), Json::Int(3));
@@ -499,7 +499,7 @@ mod tests {
 
     #[test]
     fn missing_and_mistyped_fields_are_named() {
-        let base = spec_to_value(&Arch::Vegeta.model().spec());
+        let base = spec_to_value(Arch::Vegeta.model().spec());
         let mut v = base.clone();
         if let Json::Obj(m) = &mut v {
             m.remove("pattern");
@@ -524,7 +524,7 @@ mod tests {
 
     #[test]
     fn semantic_violations_carry_the_prefix() {
-        let mut spec = Arch::TbStc.model().spec();
+        let mut spec = Arch::TbStc.model().spec().clone();
         spec.name = "Bad Name".into();
         let v = spec_to_value(&spec);
         let e = spec_from_value(&v).unwrap_err().to_string();
@@ -533,7 +533,7 @@ mod tests {
 
     #[test]
     fn codec_group_rules() {
-        let mut v = spec_to_value(&Arch::TbStc.model().spec());
+        let mut v = spec_to_value(Arch::TbStc.model().spec());
         if let Json::Obj(m) = &mut v {
             m.insert(
                 "codec".into(),

@@ -285,7 +285,7 @@ fn sarif_shape_is_2_1_0() {
     assert!(s.contains("\"version\":\"2.1.0\""));
     assert!(s.contains("sarif-schema-2.1.0.json"));
     assert!(s.contains("\"tool\":{\"driver\":{\"name\":\"tbstc-lint\""));
-    // All twelve rules are declared in the driver metadata.
+    // All eleven rules are declared in the driver metadata.
     for rule in [
         "panic-surface",
         "determinism",
@@ -295,7 +295,6 @@ fn sarif_shape_is_2_1_0() {
         "unsafe-audit",
         "hot-path-alloc",
         "blocking-in-event-loop",
-        "spec-coverage",
         "store-lock-discipline",
         "lock-order",
         "panic-reachability",

@@ -4,10 +4,9 @@
 //! The workspace builds offline, so this speaks exactly the protocol
 //! subset the job service needs: `Content-Length` bodies, no chunked
 //! encoding, no TLS. Requests are size-capped before parsing — the
-//! listener faces arbitrary network input. The server side reads
-//! requests incrementally through [`crate::conn::RequestParser`] (with
-//! keep-alive and pipelining); [`Request::read_from`] remains as the
-//! simple blocking reader the client-side tests use.
+//! listener faces arbitrary network input. The server reads requests
+//! incrementally through [`crate::conn::RequestParser`] (with keep-alive
+//! and pipelining).
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -43,106 +42,6 @@ impl Request {
             .find(|(k, _)| k == name)
             .map(|(_, v)| v.as_str())
     }
-
-    /// Reads one request from the stream.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::Http`] on protocol violations or size-cap breaches,
-    /// [`Error::Io`] on transport failures.
-    pub fn read_from(stream: &mut TcpStream) -> Result<Request, Error> {
-        let (head, mut body) = read_head(stream)?;
-        let mut lines = head.split("\r\n");
-        let request_line = lines
-            .next()
-            .ok_or_else(|| Error::Http("empty request".into()))?;
-        let mut parts = request_line.split_whitespace();
-        let method = parts
-            .next()
-            .ok_or_else(|| Error::Http("missing method".into()))?
-            .to_ascii_uppercase();
-        let path = parts
-            .next()
-            .ok_or_else(|| Error::Http("missing path".into()))?
-            .to_string();
-        if !path.starts_with('/') {
-            return Err(Error::Http(format!("bad path `{path}`")));
-        }
-
-        let mut headers = Vec::new();
-        for line in lines {
-            if line.is_empty() {
-                continue;
-            }
-            let (name, value) = line
-                .split_once(':')
-                .ok_or_else(|| Error::Http(format!("malformed header `{line}`")))?;
-            headers.push((name.trim().to_ascii_lowercase(), value.trim().to_string()));
-        }
-
-        let content_length = headers
-            .iter()
-            .find(|(k, _)| k == "content-length")
-            .map(|(_, v)| {
-                v.parse::<usize>()
-                    .map_err(|_| Error::Http(format!("bad content-length `{v}`")))
-            })
-            .transpose()?
-            .unwrap_or(0);
-        if content_length > MAX_BODY_BYTES {
-            return Err(Error::Http(format!(
-                "body of {content_length} bytes exceeds the {MAX_BODY_BYTES}-byte cap"
-            )));
-        }
-        while body.len() < content_length {
-            let mut chunk = [0u8; 4096];
-            let n = stream
-                .read(&mut chunk)
-                .map_err(|e| Error::Io(e.to_string()))?;
-            if n == 0 {
-                return Err(Error::Http("connection closed mid-body".into()));
-            }
-            body.extend_from_slice(filled(&chunk, n)?);
-        }
-        body.truncate(content_length);
-
-        Ok(Request {
-            method,
-            path,
-            headers,
-            body,
-        })
-    }
-}
-
-/// Reads up to the `\r\n\r\n` head terminator; returns (head text, any
-/// body bytes already pulled off the socket).
-fn read_head(stream: &mut TcpStream) -> Result<(String, Vec<u8>), Error> {
-    let mut buf: Vec<u8> = Vec::with_capacity(1024);
-    loop {
-        if let Some((head, rest)) = split_head(&buf) {
-            let head = std::str::from_utf8(head)
-                .map_err(|_| Error::Http("non-utf8 request head".into()))?
-                .to_string();
-            return Ok((head, rest.to_vec()));
-        }
-        if buf.len() > MAX_HEAD_BYTES {
-            return Err(Error::Http(format!(
-                "request head exceeds the {MAX_HEAD_BYTES}-byte cap"
-            )));
-        }
-        let mut chunk = [0u8; 1024];
-        let n = stream
-            .read(&mut chunk)
-            .map_err(|e| Error::Io(e.to_string()))?;
-        if n == 0 {
-            if buf.is_empty() {
-                return Err(Error::Http("connection closed before request".into()));
-            }
-            return Err(Error::Http("connection closed mid-head".into()));
-        }
-        buf.extend_from_slice(filled(&chunk, n)?);
-    }
 }
 
 /// Splits `buf` at the `\r\n\r\n` head terminator into (head bytes,
@@ -150,18 +49,6 @@ fn read_head(stream: &mut TcpStream) -> Result<(String, Vec<u8>), Error> {
 pub fn split_head(buf: &[u8]) -> Option<(&[u8], &[u8])> {
     let pos = buf.windows(4).position(|w| w == b"\r\n\r\n")?;
     Some((buf.get(..pos)?, buf.get(pos + 4..)?))
-}
-
-/// The first `n` bytes of a read buffer. `Read::read` promises `n` never
-/// exceeds the buffer, but this transport faces the network — an error
-/// beats a panic if that promise is ever broken.
-fn filled(chunk: &[u8], n: usize) -> Result<&[u8], Error> {
-    chunk.get(..n).ok_or_else(|| {
-        Error::Io(format!(
-            "read reported {n} bytes into a {}-byte buffer",
-            chunk.len()
-        ))
-    })
 }
 
 /// An HTTP response under construction.
@@ -232,19 +119,6 @@ impl Response {
         let mut out = head.into_bytes();
         out.extend_from_slice(&self.body);
         out
-    }
-
-    /// Serializes and writes the response, closing semantics
-    /// (`Connection: close`) — the blocking one-request path.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::Io`] on transport failures.
-    pub fn write_to(&self, stream: &mut TcpStream) -> Result<(), Error> {
-        stream
-            .write_all(&self.serialize(false))
-            .and_then(|()| stream.flush())
-            .map_err(|e| Error::Io(e.to_string()))
     }
 }
 
@@ -350,27 +224,25 @@ pub fn request(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::conn::{Parsed, RequestParser};
     use std::net::TcpListener;
 
-    fn roundtrip(raw: &str) -> Result<Request, Error> {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let raw = raw.to_string();
-        let client = std::thread::spawn(move || {
-            let mut s = TcpStream::connect(addr).unwrap();
-            s.write_all(raw.as_bytes()).unwrap();
-        });
-        let (mut stream, _) = listener.accept().unwrap();
-        let req = Request::read_from(&mut stream);
-        client.join().unwrap();
-        req
+    /// Parses raw wire bytes the way the server does; a protocol
+    /// violation surfaces as [`Error::Http`].
+    fn parse(raw: &str) -> Result<Request, Error> {
+        let mut parser = RequestParser::new();
+        parser.feed(raw.as_bytes());
+        match parser.next_request() {
+            Parsed::Request { request, .. } => Ok(request),
+            Parsed::Bad { message, .. } => Err(Error::Http(message)),
+            Parsed::NeedMore => Err(Error::Http("incomplete request".into())),
+        }
     }
 
     #[test]
     fn parses_post_with_body() {
-        let req =
-            roundtrip("POST /v1/jobs HTTP/1.1\r\nHost: x\r\nContent-Length: 7\r\n\r\n{\"a\":1}")
-                .unwrap();
+        let req = parse("POST /v1/jobs HTTP/1.1\r\nHost: x\r\nContent-Length: 7\r\n\r\n{\"a\":1}")
+            .unwrap();
         assert_eq!(req.method, "POST");
         assert_eq!(req.path, "/v1/jobs");
         assert_eq!(req.body, b"{\"a\":1}");
@@ -379,7 +251,7 @@ mod tests {
 
     #[test]
     fn parses_get_without_body() {
-        let req = roundtrip("GET /metrics HTTP/1.1\r\n\r\n").unwrap();
+        let req = parse("GET /metrics HTTP/1.1\r\n\r\n").unwrap();
         assert_eq!(req.method, "GET");
         assert_eq!(req.path, "/metrics");
         assert!(req.body.is_empty());
@@ -391,32 +263,37 @@ mod tests {
             "POST / HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
             MAX_BODY_BYTES + 1
         );
-        assert!(matches!(roundtrip(&raw), Err(Error::Http(_))));
+        assert!(matches!(parse(&raw), Err(Error::Http(_))));
     }
 
     #[test]
     fn rejects_garbage() {
-        assert!(
-            roundtrip("not http at all\r\n\r\n").is_err() || {
-                // A single word parses as a method with no path — also an error.
-                true
-            }
-        );
-        assert!(matches!(roundtrip("GET\r\n\r\n"), Err(Error::Http(_))));
+        assert!(matches!(
+            parse("not http at all\r\n\r\n"),
+            Err(Error::Http(_))
+        ));
+        assert!(matches!(parse("GET\r\n\r\n"), Err(Error::Http(_))));
     }
 
     #[test]
     fn response_serializes_and_client_parses() {
+        use std::io::{Read as _, Write as _};
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap().to_string();
         let server = std::thread::spawn(move || {
             let (mut stream, _) = listener.accept().unwrap();
-            let _ = Request::read_from(&mut stream).unwrap();
-            Response::new(200)
+            let mut parser = RequestParser::new();
+            let mut chunk = [0u8; 4096];
+            while !matches!(parser.next_request(), Parsed::Request { .. }) {
+                let n = stream.read(&mut chunk).unwrap();
+                assert!(n > 0, "client closed before a full request");
+                parser.feed(&chunk[..n]);
+            }
+            let wire = Response::new(200)
                 .header("X-Cache", "hit")
                 .json("{\"ok\":true}")
-                .write_to(&mut stream)
-                .unwrap();
+                .serialize(false);
+            stream.write_all(&wire).unwrap();
         });
         let resp = request(&addr, "POST", "/v1/jobs", Some("{}")).unwrap();
         server.join().unwrap();

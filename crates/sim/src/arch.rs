@@ -1,7 +1,7 @@
-//! The `Arch` enum: a cheap copyable tag for the architectures in the
-//! registry. All behaviour lives in [`crate::archs`] — one module per
-//! baseline implementing [`ArchModel`] — and every method here delegates
-//! to the registered model.
+//! The `Arch` enum: a cheap copyable tag naming the builtin
+//! architectures. All behaviour lives in their [`ArchModel`]s — spec data
+//! in the [`crate::archs`] registry — and every method here delegates to
+//! the registered model.
 
 use std::str::FromStr;
 use std::sync::Arc;
@@ -61,8 +61,8 @@ impl Arch {
         Arch::TbStc,
     ];
 
-    /// The registered model implementing this architecture.
-    pub fn model(self) -> &'static dyn ArchModel {
+    /// The registered model of this architecture.
+    pub fn model(self) -> &'static ArchModel {
         archs::model(self)
     }
 

@@ -1,25 +1,18 @@
-//! The pluggable architecture layer: one module per baseline, one trait,
-//! one registry.
+//! The architecture layer: every simulated accelerator is an
+//! [`ArchSpec`] document interpreted by one [`ArchModel`].
 //!
-//! Every simulated accelerator (§VII-A2 baselines + ablations) implements
-//! [`ArchModel`]: its naming, native sparsity pattern, per-block compute
-//! cost, weight-stream storage format, codec participation, scheduling
-//! policy and datapath costs all live in one file under this module.
-//! [`REGISTRY`] is the single dispatch point — `compute`, `memory`,
-//! `pipeline`, the job-spec schema, the CLI and `tbstc-serve` all resolve
-//! architectures through it, so adding a ninth architecture is a new
-//! module plus one registry line (and zero new `match` arms: the
-//! `arch_dispatch_lint` test forbids `Arch` variant dispatch outside this
-//! directory).
+//! The eight builtins (§VII-A2 baselines + ablations) are the spec
+//! literals of `builtin_table` — their pattern, slot terms, codec,
+//! scheduling, datapath and energy factors are data, not code, and the
+//! golden fixtures (`crates/sim/tests/fixtures/`) pin the `LayerResult`s
+//! the interpreter produces from them. [`REGISTRY`] is the single
+//! dispatch point — `compute`, `memory`, `pipeline`, the job-spec schema,
+//! the CLI and `tbstc-serve` all resolve architectures through it, so
+//! adding a ninth architecture is one table entry plus its bundled
+//! document (and zero new `match` arms: the `arch_dispatch_lint` test
+//! forbids `Arch` variant dispatch outside this directory).
 
-pub mod dvpe_fan;
-pub mod highlight;
-pub mod rm_stc;
-pub mod sgcn;
-pub mod stc;
-pub mod tb_stc;
-pub mod tc;
-pub mod vegeta;
+use std::sync::LazyLock;
 
 use tbstc_energy::components::{DatapathCosts, PeArrayShape};
 use tbstc_formats::AccessTrace;
@@ -30,7 +23,8 @@ use crate::compute::SchedulePolicy;
 use crate::layer::SparseLayer;
 use crate::memory::FormatOverride;
 use crate::plan::BlockPlan;
-use crate::sched::BlockWork;
+use crate::sched::{BlockWork, InterBlockPolicy, IntraBlockPolicy};
+use crate::spec::{ArchSpec, CodecSpec, Dataflow, DatapathKind, DenseInfoPolicy, SlotTerm};
 
 /// Per-block statistics of the sampled pruned weights, as walked in 8×8
 /// blocks — the input every architecture's dataflow turns into
@@ -90,148 +84,463 @@ impl WeightTrace {
     }
 }
 
-/// Everything the simulator needs to know about one accelerator
-/// architecture. One implementation per baseline, registered in
-/// [`REGISTRY`].
-pub trait ArchModel: Sync {
-    // --- Identity -------------------------------------------------------
+/// One simulated architecture: an [`ArchSpec`] interpreted as the
+/// per-block pricing, weight-stream format, scheduling and datapath costs
+/// the simulator runs. Builtins live in [`REGISTRY`]; [`ArchModel::custom`]
+/// validates and interprets a user document (the builtins' specs are
+/// checked by `builtin_specs_validate`), so every live model is
+/// well-formed.
+#[derive(Debug)]
+pub struct ArchModel {
+    spec: ArchSpec,
+    id: ArchId,
+    aliases: &'static [&'static str],
+}
+
+impl ArchModel {
+    /// Interprets a user-supplied spec as a custom architecture. Returns
+    /// the validation message on a malformed one.
+    pub fn custom(spec: ArchSpec) -> Result<ArchModel, String> {
+        spec.validate()?;
+        let id = ArchId::custom(&spec.name);
+        Ok(ArchModel {
+            spec,
+            id,
+            aliases: &[],
+        })
+    }
 
     /// The identity this model simulates as: a registry [`Arch`] tag for
     /// builtins, a declared name for spec-defined architectures.
-    fn id(&self) -> ArchId;
+    pub fn id(&self) -> ArchId {
+        self.id.clone()
+    }
+
+    /// The interpreted spec — `GET /v1/archs`, `tbstc-cli arch show` and
+    /// the bundled spec documents all render from here.
+    pub fn spec(&self) -> &ArchSpec {
+        &self.spec
+    }
 
     /// Paper-style display name (e.g. `TB-STC`).
-    fn display_name(&self) -> &str;
+    pub fn display_name(&self) -> &str {
+        &self.spec.display
+    }
 
     /// Canonical lowercase kebab-case name (job specs, CLI, caches).
-    fn canonical_name(&self) -> &str;
+    pub fn canonical_name(&self) -> &str {
+        &self.spec.name
+    }
 
     /// Accepted alternate spellings (e.g. `tbstc` for `tb-stc`).
-    fn aliases(&self) -> &'static [&'static str] {
-        &[]
+    pub fn aliases(&self) -> &'static [&'static str] {
+        self.aliases
     }
 
     /// One-line description for the README architecture table.
-    fn summary(&self) -> &str;
-
-    /// The architecture expressed as a declarative [`crate::spec::ArchSpec`]
-    /// — the data document that reproduces this model bit-for-bit through
-    /// [`crate::spec::CustomArch`] (the `spec_parity` tests pin this per
-    /// builtin). `GET /v1/archs`, `tbstc-cli arch show` and the bundled
-    /// spec documents all render from here, so the declarative view cannot
-    /// drift from the code.
-    fn spec(&self) -> crate::spec::ArchSpec;
-
-    // --- Sparsity pattern & compute -------------------------------------
+    pub fn summary(&self) -> &str {
+        &self.spec.summary
+    }
 
     /// The sparsity pattern this architecture natively executes.
-    fn native_pattern(&self) -> PatternKind;
+    pub fn native_pattern(&self) -> PatternKind {
+        self.spec.pattern
+    }
 
     /// The scheduling policy the architecture ships with.
-    fn native_schedule(&self) -> SchedulePolicy;
+    pub fn native_schedule(&self) -> SchedulePolicy {
+        self.spec.schedule
+    }
 
     /// The MAC-slot work the dataflow sees for one 8×8 block — where each
-    /// baseline's structural constraints (lockstep, ratio grouping,
-    /// gather efficiency, density floors) are modelled.
-    fn block_work(&self, block: &BlockStats) -> BlockWork;
-
-    /// Prices a whole [`BlockPlan`] in one array pass. The contract: the
-    /// result must equal `plan.stats(i)` fed through [`Self::block_work`]
-    /// for every block `i`, in block order — the batched and scalar paths
-    /// are interchangeable (`batch_parity` tests pin this per
-    /// architecture). The default loops the scalar path; architectures
-    /// override it with a tight pass over the plan's flat columns.
-    fn block_works_batch(&self, plan: &BlockPlan) -> Vec<BlockWork> {
-        let mut works = Vec::with_capacity(plan.len());
-        for i in 0..plan.len() {
-            works.push(self.block_work(&plan.stats(i)));
+    /// architecture's structural constraints (lockstep, ratio grouping,
+    /// gather efficiency, density floors) are priced.
+    pub fn block_work(&self, b: &BlockStats) -> BlockWork {
+        BlockWork {
+            slots: self.spec.dataflow.slots(b),
+            nonempty_rows: if self.spec.dataflow.has_dense_term() {
+                b.block_rows
+            } else {
+                b.nonempty_rows
+            },
+            independent_dim: b.independent_dim,
         }
-        works
     }
 
-    /// Extra sampled compute cycles outside the block schedule (e.g.
-    /// SGCN's per-row CSR frontend decode), given the block work list and
-    /// the PE count.
-    fn extra_compute_cycles(&self, works: &[BlockWork], pes: usize) -> u64 {
-        let _ = (works, pes);
-        0
+    /// Prices a whole [`BlockPlan`] in one array pass. The result equals
+    /// `plan.stats(i)` fed through [`Self::block_work`] for every block
+    /// `i`, in block order (`batch_parity` pins this). Nnz-only dataflows
+    /// zip the plan's occupancy columns, dense-only ones its geometry
+    /// columns; row-shape terms fall back to per-block stats.
+    pub fn block_works_batch(&self, plan: &BlockPlan) -> Vec<BlockWork> {
+        let df = &self.spec.dataflow;
+        match df.terms.as_slice() {
+            [SlotTerm::Nnz] => plan
+                .nnz()
+                .iter()
+                .zip(plan.nonempty_rows())
+                .zip(plan.independent_dim())
+                .map(|((&nnz, &rows), &indep)| BlockWork {
+                    slots: df.scale(nnz),
+                    nonempty_rows: rows,
+                    independent_dim: indep,
+                })
+                .collect(),
+            [SlotTerm::Dense] => plan
+                .dense_slots()
+                .iter()
+                .zip(plan.block_rows())
+                .zip(plan.independent_dim())
+                .map(|((&slots, &rows), &indep)| BlockWork {
+                    slots: df.scale(slots),
+                    nonempty_rows: rows,
+                    independent_dim: indep,
+                })
+                .collect(),
+            _ => {
+                let mut works = Vec::with_capacity(plan.len());
+                for i in 0..plan.len() {
+                    works.push(self.block_work(&plan.stats(i)));
+                }
+                works
+            }
+        }
     }
 
-    // --- Memory format & codec ------------------------------------------
+    /// Extra sampled compute cycles outside the block schedule: with a
+    /// row frontend (SGCN's CSR row decode), one slot-cycle per non-empty
+    /// row, amortized over the PEs.
+    pub fn extra_compute_cycles(&self, works: &[BlockWork], pes: usize) -> u64 {
+        if !self.spec.row_frontend {
+            return 0;
+        }
+        let rows: u64 = works.iter().map(|w| w.nonempty_rows as u64).sum();
+        rows.div_ceil(pes as u64)
+    }
 
     /// The sampled weight-stream trace of the architecture's native
     /// storage format. `plan` carries the occupancy statistics (total
     /// non-zeros, per-row totals) so formats sized by occupancy need not
     /// re-count the matrix.
-    fn weight_trace(&self, layer: &SparseLayer, plan: &BlockPlan) -> WeightTrace;
+    pub fn weight_trace(&self, layer: &SparseLayer, plan: &BlockPlan) -> WeightTrace {
+        self.spec.codec.weight_trace(layer, plan)
+    }
 
     /// Whether the weight stream degenerates to a dense row stream for
     /// this layer/format, making the full matrix the information content
     /// (dense TC always; TB-STC on non-TBS layers).
-    fn dense_info_stream(&self, layer: &SparseLayer, fmt: FormatOverride) -> bool {
-        let _ = (layer, fmt);
-        false
+    pub fn dense_info_stream(&self, layer: &SparseLayer, fmt: FormatOverride) -> bool {
+        match self.spec.dense_info {
+            DenseInfoPolicy::Never => false,
+            DenseInfoPolicy::Always => true,
+            DenseInfoPolicy::NonTbsNative => layer.tbs().is_none() && fmt == FormatOverride::Native,
+        }
     }
 
     /// Whether the architecture consumes DDC through the adaptive codec
     /// (conversion cycles are modelled only for these).
-    fn consumes_ddc(&self) -> bool {
-        false
+    pub fn consumes_ddc(&self) -> bool {
+        self.spec.consumes_ddc
     }
 
-    // --- Datapath, energy, platform -------------------------------------
-
     /// The datapath cost inventory (Table III-style component list).
-    fn datapath(&self, shape: PeArrayShape) -> DatapathCosts;
+    pub fn datapath(&self, shape: PeArrayShape) -> DatapathCosts {
+        self.spec.datapath.build(shape)
+    }
 
-    /// Multiplier-lane count. The paper keeps peak compute equal across
-    /// baselines (§VII-A1).
-    fn lanes(&self, shape: PeArrayShape) -> usize {
-        shape.mults()
+    /// Multiplier-lane count: the spec's, or the platform's peak-parity
+    /// count (the paper keeps peak compute equal across baselines,
+    /// §VII-A1).
+    pub fn lanes(&self, shape: PeArrayShape) -> usize {
+        self.spec.lanes.unwrap_or_else(|| shape.mults())
     }
 
     /// Off-chip bandwidth override in GB/s; `None` = platform default.
-    fn bandwidth_override_gbps(&self) -> Option<f64> {
-        None
+    pub fn bandwidth_override_gbps(&self) -> Option<f64> {
+        self.spec.bandwidth_gbps
     }
 
     /// Whether the §VI inter/intra-block sparsity-aware scheduling is
     /// present (the Fig. 16(b) ablation switches it off).
-    fn has_hierarchical_scheduling(&self) -> bool {
-        false
+    pub fn has_hierarchical_scheduling(&self) -> bool {
+        self.spec.hierarchical_scheduling
     }
 
     /// Per-MAC dynamic-energy multiplier over the plain FP16 MAC
     /// (index-matching overheads of unstructured engines, Fig. 6(d)).
-    fn mac_energy_multiplier(&self) -> f64 {
-        1.0
+    pub fn mac_energy_multiplier(&self) -> f64 {
+        self.spec.mac_energy_multiplier
     }
+}
+
+/// Placement without cross-block merging, rows packed across lanes: the
+/// policy of engines with uniform work (nothing to balance).
+const DIRECT: SchedulePolicy = SchedulePolicy {
+    inter: InterBlockPolicy::Direct,
+    intra: IntraBlockPolicy::Balanced,
+};
+
+/// Least-loaded dispatch with slot merging across blocks (Fig. 11(b)).
+const SPARSITY_AWARE: SchedulePolicy = SchedulePolicy {
+    inter: InterBlockPolicy::SparsityAware,
+    intra: IntraBlockPolicy::Balanced,
+};
+
+/// The builtin architectures as `(tag, aliases, spec)`, in the paper's
+/// plotting order (= `Arch` discriminant order). Each spec is rendered
+/// byte-for-byte by its bundled document under `crates/core/specs/`.
+fn builtin_table() -> [(Arch, &'static [&'static str], ArchSpec); 8] {
+    [
+        // The dense baseline (NVIDIA Tensor Core without sparsity
+        // support): every slot of the clipped block issues, full rows
+        // stream, and the dense matrix is the information content.
+        (
+            Arch::Tc,
+            &[],
+            ArchSpec {
+                name: "tc".into(),
+                display: "TC".into(),
+                summary: "Dense Tensor Core; executes every MAC slot, streams full rows".into(),
+                pattern: PatternKind::Dense,
+                schedule: DIRECT,
+                hierarchical_scheduling: false,
+                dataflow: Dataflow {
+                    terms: vec![SlotTerm::Dense],
+                    multiplier: 1.0,
+                    efficiency: 1.0,
+                },
+                row_frontend: false,
+                codec: CodecSpec::DenseRows,
+                dense_info: DenseInfoPolicy::Always,
+                consumes_ddc: false,
+                bandwidth_gbps: None,
+                lanes: None,
+                datapath: DatapathKind::TensorCore,
+                mac_energy_multiplier: 1.0,
+            },
+        ),
+        // NVIDIA STC executes its 4:8 mask (projected at the 50 % density
+        // floor by layer construction): slots = nnz, 4:8 values + 2-bit
+        // position metadata, perfectly aligned.
+        (
+            Arch::Stc,
+            &[],
+            ArchSpec {
+                name: "stc".into(),
+                display: "STC".into(),
+                summary: "NVIDIA Sparse Tensor Core; 4:8 tiles, density floored at 50%".into(),
+                pattern: PatternKind::TileNm,
+                schedule: DIRECT,
+                hierarchical_scheduling: false,
+                dataflow: Dataflow::nnz(),
+                row_frontend: false,
+                codec: CodecSpec::AlignedNm,
+                dense_info: DenseInfoPolicy::Never,
+                consumes_ddc: false,
+                bandwidth_gbps: None,
+                lanes: None,
+                datapath: DatapathKind::NvidiaStc,
+                mac_energy_multiplier: 1.0,
+            },
+        ),
+        // VEGETA's vertical SIMD has two one-dimensional constraints:
+        // groups of 4 rows run in lockstep, and rows of different ratios
+        // need separate B-select issues — heterogeneous blocks pay the
+        // binding one (the paper's challenge-3 imbalance). One-dimensional
+        // workload balancing is modelled as balanced placement. Weights
+        // are SDC padded per co-scheduled 8-row group.
+        (
+            Arch::Vegeta,
+            &[],
+            ArchSpec {
+                name: "vegeta".into(),
+                display: "VEGETA".into(),
+                summary: "Row-wise N:M; SIMD lockstep + per-ratio B-select issues".into(),
+                pattern: PatternKind::RowWiseVegeta,
+                schedule: SPARSITY_AWARE,
+                hierarchical_scheduling: false,
+                dataflow: Dataflow {
+                    terms: vec![
+                        SlotTerm::Lockstep { group: 4 },
+                        SlotTerm::RatioGrouped { width: 8 },
+                    ],
+                    multiplier: 1.0,
+                    efficiency: 1.0,
+                },
+                row_frontend: false,
+                codec: CodecSpec::GroupedSdc { group: 8 },
+                dense_info: DenseInfoPolicy::Never,
+                consumes_ddc: false,
+                bandwidth_gbps: None,
+                lanes: None,
+                datapath: DatapathKind::Vegeta,
+                mac_energy_multiplier: 1.0,
+            },
+        ),
+        // HighLight's uniform hierarchical ratio keeps rows homogeneous
+        // (small grouping penalty, whole-matrix SDC pads almost nothing)
+        // but pays a 1.06× two-level metadata intersection on every
+        // element cluster.
+        (
+            Arch::Highlight,
+            &[],
+            ArchSpec {
+                name: "highlight".into(),
+                display: "HighLight".into(),
+                summary: "Hierarchical structured sparsity; uniform ratios, 2-level metadata"
+                    .into(),
+                pattern: PatternKind::RowWiseHighlight,
+                schedule: SPARSITY_AWARE,
+                hierarchical_scheduling: false,
+                dataflow: Dataflow {
+                    terms: vec![SlotTerm::RatioGrouped { width: 8 }],
+                    multiplier: 1.06,
+                    efficiency: 1.0,
+                },
+                row_frontend: false,
+                codec: CodecSpec::Sdc,
+                dense_info: DenseInfoPolicy::Never,
+                consumes_ddc: false,
+                bandwidth_gbps: None,
+                lanes: None,
+                datapath: DatapathKind::Highlight,
+                mac_energy_multiplier: 1.0,
+            },
+        ),
+        // RM-STC's unstructured row-merge dataflow: nnz-proportional with
+        // 0.94 packing efficiency (merge bubbles; paper: 1.06× behind
+        // TB-STC), bitmap + packed values, and gather/union index
+        // matching that costs 2.1× MAC energy (Fig. 6(d), §VII-C1).
+        (
+            Arch::RmStc,
+            &["rmstc"],
+            ArchSpec {
+                name: "rm-stc".into(),
+                display: "RM-STC".into(),
+                summary: "Unstructured row-merge; nnz-proportional, pays gather/union energy"
+                    .into(),
+                pattern: PatternKind::Unstructured,
+                schedule: SPARSITY_AWARE,
+                hierarchical_scheduling: false,
+                dataflow: Dataflow {
+                    terms: vec![SlotTerm::Nnz],
+                    multiplier: 1.0,
+                    efficiency: 0.94,
+                },
+                row_frontend: false,
+                codec: CodecSpec::Bitmap,
+                dense_info: DenseInfoPolicy::Never,
+                consumes_ddc: false,
+                bandwidth_gbps: None,
+                lanes: None,
+                datapath: DatapathKind::RmStc,
+                mac_energy_multiplier: 2.1,
+            },
+        ),
+        // TB-STC (this paper): nnz-proportional DVPE issue, DDC consumed
+        // through the adaptive codec (non-prunable layers stream dense
+        // rows), and the §VI hierarchical scheduling (Fig. 11).
+        (
+            Arch::TbStc,
+            &["tbstc"],
+            ArchSpec {
+                name: "tb-stc".into(),
+                display: "TB-STC".into(),
+                summary: "This paper: TBS pattern, DDC + codec, hierarchical scheduling".into(),
+                pattern: PatternKind::Tbs,
+                schedule: SPARSITY_AWARE,
+                hierarchical_scheduling: true,
+                dataflow: Dataflow::nnz(),
+                row_frontend: false,
+                codec: CodecSpec::DdcOrDense,
+                dense_info: DenseInfoPolicy::NonTbsNative,
+                consumes_ddc: true,
+                bandwidth_gbps: None,
+                lanes: None,
+                datapath: DatapathKind::TbStc,
+                mac_energy_multiplier: 1.0,
+            },
+        ),
+        // Ablation (§VII-E2): TB-STC's DVPEs replaced by SIGMA's FAN
+        // reduction. Same pattern, format, codec and scheduler; 1.12×
+        // pipeline occupancy and 1.45× operand-forwarding energy.
+        (
+            Arch::DvpeFan,
+            &["dvpefan"],
+            ArchSpec {
+                name: "dvpe-fan".into(),
+                display: "DVPE+FAN".into(),
+                summary: "Ablation: TB-STC with SIGMA's FAN reduction instead of DVPEs".into(),
+                pattern: PatternKind::Tbs,
+                schedule: SPARSITY_AWARE,
+                hierarchical_scheduling: false,
+                dataflow: Dataflow {
+                    terms: vec![SlotTerm::Nnz],
+                    multiplier: 1.12,
+                    efficiency: 1.0,
+                },
+                row_frontend: false,
+                codec: CodecSpec::DdcOrDense,
+                dense_info: DenseInfoPolicy::NonTbsNative,
+                consumes_ddc: true,
+                bandwidth_gbps: None,
+                lanes: None,
+                datapath: DatapathKind::DvpeWithFan,
+                mac_energy_multiplier: 1.45,
+            },
+        ),
+        // SGCN (Fig. 15(d) baseline): element-granular CSR processing with
+        // 0.7 gather efficiency at DNN-range sparsity, a per-row CSR
+        // frontend decode, 256 GB/s of memory (§VII-D4) and 1.8× CSR
+        // intersection energy.
+        (
+            Arch::Sgcn,
+            &[],
+            ArchSpec {
+                name: "sgcn".into(),
+                display: "SGCN".into(),
+                summary: "GNN accelerator: CSR element granularity, 256 GB/s, row frontend".into(),
+                pattern: PatternKind::Unstructured,
+                schedule: SPARSITY_AWARE,
+                hierarchical_scheduling: false,
+                dataflow: Dataflow {
+                    terms: vec![SlotTerm::Nnz],
+                    multiplier: 1.0,
+                    efficiency: 0.7,
+                },
+                row_frontend: true,
+                codec: CodecSpec::Csr,
+                dense_info: DenseInfoPolicy::Never,
+                consumes_ddc: false,
+                bandwidth_gbps: Some(256.0),
+                lanes: None,
+                datapath: DatapathKind::Sgcn,
+                mac_energy_multiplier: 1.8,
+            },
+        ),
+    ]
 }
 
 /// The architecture registry, in the paper's plotting order. Indexed by
 /// the `Arch` discriminant — `registry_order_matches_enum` locks the
 /// correspondence.
-pub static REGISTRY: [&dyn ArchModel; 8] = [
-    &tc::Tc,
-    &stc::Stc,
-    &vegeta::Vegeta,
-    &highlight::Highlight,
-    &rm_stc::RmStc,
-    &tb_stc::TbStc,
-    &dvpe_fan::DvpeFan,
-    &sgcn::Sgcn,
-];
+pub static REGISTRY: LazyLock<[ArchModel; 8]> = LazyLock::new(|| {
+    builtin_table().map(|(arch, aliases, spec)| ArchModel {
+        spec,
+        id: ArchId::Builtin(arch),
+        aliases,
+    })
+});
 
 /// Resolves an architecture to its registered model.
-pub fn model(arch: Arch) -> &'static dyn ArchModel {
-    REGISTRY[arch as usize]
+pub fn model(arch: Arch) -> &'static ArchModel {
+    &REGISTRY[arch as usize]
 }
 
 /// The registered model for a canonical name or alias, if any.
-pub fn by_name(name: &str) -> Option<&'static dyn ArchModel> {
+pub fn by_name(name: &str) -> Option<&'static ArchModel> {
     REGISTRY
         .iter()
-        .copied()
         .find(|m| m.canonical_name() == name || m.aliases().contains(&name))
 }
 
@@ -252,7 +561,7 @@ pub fn architecture_table_markdown() -> String {
         "| Architecture | Name (CLI/jobs) | Native pattern | Model |\n\
          |---|---|---|---|\n",
     );
-    for m in REGISTRY {
+    for m in REGISTRY.iter() {
         out.push_str(&format!(
             "| **{}** | `{}` | {} | {} |\n",
             m.display_name(),
@@ -262,26 +571,6 @@ pub fn architecture_table_markdown() -> String {
         ));
     }
     out
-}
-
-/// Zips a plan's occupancy columns into [`BlockWork`]s for
-/// nnz-proportional dataflows, with `slots_of` mapping each block's
-/// non-zero count to issued slots — the shared batched pass behind the
-/// STC / RM-STC / TB-STC / DVPE+FAN / SGCN overrides.
-pub(crate) fn nnz_proportional_batch(
-    plan: &BlockPlan,
-    slots_of: impl Fn(usize) -> usize,
-) -> Vec<BlockWork> {
-    plan.nnz()
-        .iter()
-        .zip(plan.nonempty_rows())
-        .zip(plan.independent_dim())
-        .map(|((&nnz, &rows), &indep)| BlockWork {
-            slots: slots_of(nnz),
-            nonempty_rows: rows,
-            independent_dim: indep,
-        })
-        .collect()
 }
 
 /// Slots a lockstep SIMD engine needs: adjacent groups of `group` rows
@@ -309,8 +598,8 @@ pub(crate) fn ratio_grouped_slots(row_nnz: &[usize; 8], width: usize) -> usize {
 
 /// SDC aligned per `group`-row window: each window stores its rows padded
 /// to the window's max population (value + 1-byte index per slot),
-/// sequentially. `row_nnz` holds the per-matrix-row non-zero counts.
-/// Shared by VEGETA and the spec interpreter's `grouped-sdc` codec.
+/// sequentially. `row_nnz` holds the per-matrix-row non-zero counts —
+/// the `grouped-sdc` codec (VEGETA).
 pub(crate) fn grouped_sdc_trace(row_nnz: &[usize], group: usize) -> WeightTrace {
     let mut requests = Vec::with_capacity(row_nnz.len().div_ceil(group.max(1)));
     let mut addr = 0u64;
@@ -325,19 +614,6 @@ pub(crate) fn grouped_sdc_trace(row_nnz: &[usize], group: usize) -> WeightTrace 
     WeightTrace {
         requests,
         stored_bytes: addr,
-    }
-}
-
-/// The TBS weight stream: DDC when the layer carries TBS metadata, a
-/// dense row stream otherwise (non-prunable layers run dense). Shared by
-/// TB-STC and its FAN ablation.
-pub(crate) fn ddc_or_dense_trace(layer: &SparseLayer) -> WeightTrace {
-    let w = layer.sampled();
-    match layer.tbs() {
-        Some(tbs) => {
-            WeightTrace::from_access_trace(tbstc_formats::Ddc::encode(w, tbs).access_trace())
-        }
-        None => WeightTrace::sequential(w.len() as u64 * 2),
     }
 }
 
@@ -359,7 +635,7 @@ mod tests {
     #[test]
     fn names_are_unique_and_resolve() {
         let mut seen = std::collections::HashSet::new();
-        for m in REGISTRY {
+        for m in REGISTRY.iter() {
             assert!(
                 seen.insert(m.canonical_name().to_string()),
                 "{}",
@@ -377,7 +653,7 @@ mod tests {
     #[test]
     fn table_lists_every_architecture() {
         let table = architecture_table_markdown();
-        for m in REGISTRY {
+        for m in REGISTRY.iter() {
             assert!(table.contains(m.display_name()), "{}", m.display_name());
             assert!(table.contains(m.canonical_name()));
         }

@@ -67,6 +67,4 @@ pub use pipeline::{
 };
 pub use plan::BlockPlan;
 pub use result::{CycleBreakdown, LayerResult, ModelResult};
-pub use spec::{
-    ArchSpec, CodecSpec, CustomArch, Dataflow, DatapathKind, DenseInfoPolicy, SlotTerm,
-};
+pub use spec::{ArchSpec, CodecSpec, Dataflow, DatapathKind, DenseInfoPolicy, SlotTerm};

@@ -4,8 +4,8 @@
 //! Weight (A-matrix) traffic depends on the storage format each
 //! architecture uses — this is where the paper's challenge 2 lives. The
 //! format behaviour itself is owned by the architectures: the native
-//! branch of [`a_trace`] asks the registered
-//! [`crate::archs::ArchModel::weight_trace`] for the sampled stream
+//! branch of [`a_trace`] asks the model's spec codec
+//! ([`ArchModel::weight_trace`]) for the sampled stream
 //! (dense rows for TC, 4:8 metadata for STC, grouped/whole-matrix SDC for
 //! VEGETA/HighLight, bitmap for RM-STC, DDC for TB-STC, CSR for SGCN),
 //! while the explicit [`FormatOverride`]s (codec ablation, quantization
@@ -20,7 +20,7 @@ use tbstc_dram::{DramConfig, DramModel};
 use tbstc_formats::{Csr, Sdc};
 
 use crate::arch::Arch;
-use crate::archs::{self, ArchModel, WeightTrace};
+use crate::archs::{ArchModel, WeightTrace};
 use crate::config::HwConfig;
 use crate::layer::SparseLayer;
 use crate::plan::BlockPlan;
@@ -69,34 +69,23 @@ impl MemoryResult {
 /// refresh).
 const STREAM_EFFICIENCY: f64 = 0.95;
 
-/// Simulates the memory side of a layer.
+/// Simulates the memory side of a layer on a builtin architecture.
 ///
-/// Builds a fresh [`BlockPlan`]; use [`simulate_memory_with_plan`] to
-/// share one plan across the compute and memory models.
+/// Builds a fresh [`BlockPlan`]; use [`simulate_memory_on`] to share one
+/// plan across the compute and memory models.
 pub fn simulate_memory(
     arch: Arch,
     layer: &SparseLayer,
     cfg: &HwConfig,
     fmt: FormatOverride,
 ) -> MemoryResult {
-    simulate_memory_with_plan(arch, layer, &BlockPlan::build(layer), cfg, fmt)
-}
-
-/// Simulates the memory side of a layer using a pre-built [`BlockPlan`].
-pub fn simulate_memory_with_plan(
-    arch: Arch,
-    layer: &SparseLayer,
-    plan: &BlockPlan,
-    cfg: &HwConfig,
-    fmt: FormatOverride,
-) -> MemoryResult {
-    simulate_memory_on(archs::model(arch), layer, plan, cfg, fmt)
+    simulate_memory_on(arch.model(), layer, &BlockPlan::build(layer), cfg, fmt)
 }
 
 /// Simulates the memory side against any [`ArchModel`] — registry builtin
-/// or spec-interpreted [`crate::spec::CustomArch`].
+/// or custom spec — using a pre-built [`BlockPlan`].
 pub fn simulate_memory_on(
-    model: &dyn ArchModel,
+    model: &ArchModel,
     layer: &SparseLayer,
     plan: &BlockPlan,
     cfg: &HwConfig,
@@ -159,7 +148,7 @@ pub fn simulate_memory_on(
 /// format must move at minimum (values + one index per non-zero; the full
 /// matrix when the architecture streams dense rows for this layer/format).
 fn info_bytes(
-    model: &dyn ArchModel,
+    model: &ArchModel,
     layer: &SparseLayer,
     plan: &BlockPlan,
     fmt: FormatOverride,
@@ -177,7 +166,7 @@ fn info_bytes(
 /// Builds the sampled weight-stream trace for an architecture: the
 /// override formats here, the native format from the registered model.
 fn a_trace(
-    model: &dyn ArchModel,
+    model: &ArchModel,
     layer: &SparseLayer,
     plan: &BlockPlan,
     fmt: FormatOverride,

@@ -79,11 +79,9 @@ pub fn simulate_layer_with(
 }
 
 /// Simulates one layer against any [`ArchModel`] — a registry builtin or
-/// a spec-interpreted [`crate::spec::CustomArch`]. The builtin entry
-/// points all funnel here, so spec-driven architectures run the exact
-/// same pipeline (and at the same batched speed).
+/// a custom spec. The builtin entry points all funnel here.
 pub fn simulate_layer_on(
-    model: &dyn ArchModel,
+    model: &ArchModel,
     layer: &SparseLayer,
     cfg: &HwConfig,
     opts: &SimOptions,
@@ -159,7 +157,7 @@ pub fn simulate_model(
 
 /// Simulates a whole model against any [`ArchModel`].
 pub fn simulate_model_on(
-    arch_model: &dyn ArchModel,
+    arch_model: &ArchModel,
     model: &Model,
     target: f64,
     seed: u64,
@@ -183,20 +181,10 @@ pub fn simulate_model_on(
     }
 }
 
-/// Simulates a single model layer, respecting `prunable`.
-pub fn simulate_model_layer(
-    arch: Arch,
-    shape: &LayerShape,
-    target: f64,
-    seed: u64,
-    cfg: &HwConfig,
-) -> LayerResult {
-    simulate_model_layer_on(arch.model(), shape, target, seed, cfg)
-}
-
-/// Simulates a single model layer against any [`ArchModel`].
+/// Simulates a single model layer against any [`ArchModel`], respecting
+/// `prunable`.
 pub fn simulate_model_layer_on(
-    arch_model: &dyn ArchModel,
+    arch_model: &ArchModel,
     shape: &LayerShape,
     target: f64,
     seed: u64,
@@ -215,7 +203,7 @@ pub fn simulate_model_layer_on(
 /// Conversion cycles the codec needs for the layer's weight stream
 /// (scaled to real size). Only DDC-consuming architectures convert, and
 /// only independent-dimension blocks need it (Fig. 9(a) vs 9(b)).
-fn codec_cycles(model: &dyn ArchModel, layer: &SparseLayer, fmt: FormatOverride) -> u64 {
+fn codec_cycles(model: &ArchModel, layer: &SparseLayer, fmt: FormatOverride) -> u64 {
     if !model.consumes_ddc() || !matches!(fmt, FormatOverride::Native | FormatOverride::Int8) {
         return 0;
     }

@@ -16,7 +16,7 @@
 //! * an occupancy-class histogram (blocks bucketed by `ceil(nnz / 8)`).
 //!
 //! The plan is the public currency between the sparsify, compute,
-//! schedule and memory layers: [`crate::archs::ArchModel::block_works_batch`]
+//! schedule and memory layers: [`crate::ArchModel::block_works_batch`]
 //! prices a whole plan in one array pass, `sched::schedule_stream`
 //! consumes the resulting flat work list, and the memory model reads
 //! `total_nnz` / `matrix_row_nnz` instead of re-counting the matrix.

@@ -2,27 +2,25 @@
 //!
 //! An [`ArchSpec`] is a small document — pattern constraint, dataflow
 //! slot terms, codec choice, lanes, bandwidth and energy multipliers —
-//! that [`CustomArch`] interprets as a full [`ArchModel`], batched
-//! `block_works_batch` path included. Every registry builtin renders
-//! itself as a spec via [`ArchModel::spec`], and the `spec_parity` tests
-//! pin that interpreting the rendered spec reproduces the native module's
-//! `LayerResult`s bit-for-bit. Serialization to/from canonical JSON lives
-//! in the core crate (`tbstc::archspec`), which depends on this one.
+//! that [`crate::ArchModel`] interprets, batched `block_works_batch` path
+//! included. The eight registry builtins are spec literals too, so every
+//! architecture, builtin or user-defined, runs through the same
+//! interpreter; the golden fixtures pin its `LayerResult`s bit-for-bit.
+//! Serialization to/from canonical JSON lives in the core crate
+//! (`tbstc::archspec`), which depends on this one.
+
+use std::ops::RangeInclusive;
 
 use tbstc_energy::components::{self, DatapathCosts, PeArrayShape};
-use tbstc_formats::{Csr, Sdc};
+use tbstc_formats::{Csr, Ddc, Sdc};
 use tbstc_sparsity::PatternKind;
 
-use crate::arch::ArchId;
 use crate::archs::{
-    ddc_or_dense_trace, grouped_sdc_trace, lockstep_slots, nnz_proportional_batch,
-    ratio_grouped_slots, ArchModel, BlockStats, WeightTrace,
+    grouped_sdc_trace, lockstep_slots, ratio_grouped_slots, BlockStats, WeightTrace,
 };
 use crate::compute::SchedulePolicy;
 use crate::layer::SparseLayer;
-use crate::memory::FormatOverride;
 use crate::plan::BlockPlan;
-use crate::sched::BlockWork;
 
 /// One term of a dataflow's slot expression. A block's base slot count is
 /// the **max** over the spec's terms — structural constraints bind, they
@@ -61,17 +59,17 @@ impl SlotTerm {
 
 /// A dataflow's slot cost: `ceil(max(terms) × multiplier / efficiency)`.
 /// When both factors are exactly 1.0 the base count passes through
-/// untouched — the bit-exactness contract the builtin specs rely on
-/// (each native module applies at most one non-unit factor).
+/// untouched, so unit dataflows price in pure integer arithmetic.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Dataflow {
     /// Slot terms, combined by max. Must be non-empty.
     pub terms: Vec<SlotTerm>,
     /// Slot overhead multiplier (e.g. HighLight's 1.06 metadata
-    /// intersection, FAN's 1.12 pipeline occupancy). Must be ≥ 1.
+    /// intersection, FAN's 1.12 pipeline occupancy), in
+    /// [`MULTIPLIER`].
     pub multiplier: f64,
-    /// Packing efficiency divisor in `(0, 1]` (e.g. RM-STC's 0.94 merge
-    /// bubbles, SGCN's 0.7 gather efficiency).
+    /// Packing efficiency divisor in [`EFFICIENCY`] (e.g. RM-STC's 0.94
+    /// merge bubbles, SGCN's 0.7 gather efficiency).
     pub efficiency: f64,
 }
 
@@ -91,7 +89,7 @@ impl Dataflow {
     }
 
     /// Applies the overhead factors to a base slot count.
-    fn scale(&self, base: usize) -> usize {
+    pub(crate) fn scale(&self, base: usize) -> usize {
         if self.is_unit() {
             base
         } else {
@@ -100,7 +98,7 @@ impl Dataflow {
     }
 
     /// The slot count for one block: scaled max over terms.
-    fn slots(&self, b: &BlockStats) -> usize {
+    pub(crate) fn slots(&self, b: &BlockStats) -> usize {
         let base = self
             .terms
             .iter()
@@ -112,7 +110,7 @@ impl Dataflow {
 
     /// Whether a [`SlotTerm::Dense`] term is present — dense dataflows
     /// occupy every (clipped) block row, not just non-empty ones.
-    fn has_dense_term(&self) -> bool {
+    pub(crate) fn has_dense_term(&self) -> bool {
         self.terms.contains(&SlotTerm::Dense)
     }
 }
@@ -142,7 +140,7 @@ pub enum CodecSpec {
 
 impl CodecSpec {
     /// The sampled weight-stream trace this codec emits.
-    fn weight_trace(self, layer: &SparseLayer, plan: &BlockPlan) -> WeightTrace {
+    pub(crate) fn weight_trace(self, layer: &SparseLayer, plan: &BlockPlan) -> WeightTrace {
         match self {
             CodecSpec::DenseRows => {
                 let w = layer.sampled();
@@ -168,7 +166,13 @@ impl CodecSpec {
                 let bitmap = ((rows * cols) as u64).div_ceil(8);
                 WeightTrace::sequential(nnz * 2 + bitmap)
             }
-            CodecSpec::DdcOrDense => ddc_or_dense_trace(layer),
+            CodecSpec::DdcOrDense => {
+                let w = layer.sampled();
+                match layer.tbs() {
+                    Some(tbs) => WeightTrace::from_access_trace(Ddc::encode(w, tbs).access_trace()),
+                    None => WeightTrace::sequential(w.len() as u64 * 2),
+                }
+            }
             CodecSpec::Csr => {
                 WeightTrace::from_access_trace(Csr::encode(layer.sampled()).streaming_trace())
             }
@@ -233,7 +237,7 @@ impl DatapathKind {
 }
 
 /// A complete declarative architecture description — everything
-/// [`CustomArch`] needs to simulate it, nothing more.
+/// [`crate::ArchModel`] needs to simulate it, nothing more.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ArchSpec {
     /// Canonical lowercase kebab-case name (job specs, CLI, cache keys).
@@ -259,18 +263,67 @@ pub struct ArchSpec {
     pub dense_info: DenseInfoPolicy,
     /// Whether the architecture consumes DDC through the adaptive codec.
     pub consumes_ddc: bool,
-    /// Off-chip bandwidth override in GB/s; `None` = platform default.
+    /// Off-chip bandwidth override in GB/s, in [`BANDWIDTH_GBPS`];
+    /// `None` = platform default.
     pub bandwidth_gbps: Option<f64>,
-    /// Multiplier-lane count; `None` = the platform's peak-parity count.
+    /// Multiplier-lane count, a multiple of [`LANE_WIDTH`] in [`LANES`];
+    /// `None` = the platform's peak-parity count.
     pub lanes: Option<usize>,
     /// The datapath cost inventory.
     pub datapath: DatapathKind,
-    /// Per-MAC dynamic-energy multiplier over the plain FP16 MAC.
+    /// Per-MAC dynamic-energy multiplier over the plain FP16 MAC, in
+    /// [`MAC_ENERGY_MULTIPLIER`].
     pub mac_energy_multiplier: f64,
 }
 
 /// Largest lockstep group / ratio width / SDC window: one 8×8 block.
 pub const MAX_GROUP: usize = 8;
+
+/// Accepted dataflow slot multipliers. The cap keeps every block's
+/// scaled slot count (≤ 64 × multiplier / efficiency) far from integer
+/// overflow in the cycle sums.
+pub const MULTIPLIER: RangeInclusive<f64> = 1.0..=16.0;
+
+/// Accepted packing efficiencies.
+pub const EFFICIENCY: RangeInclusive<f64> = 0.01..=1.0;
+
+/// Accepted multiplier-lane counts: whole 8-lane DVPEs ([`LANE_WIDTH`]),
+/// at least one and at most 8192 — the scheduler sizes its per-PE state
+/// from this count.
+pub const LANES: RangeInclusive<usize> = 8..=65536;
+
+/// The paper's DVPE lane width. The scheduler runs `lanes / 8` PEs, so a
+/// partial DVPE would add lanes to utilization but no throughput.
+pub const LANE_WIDTH: usize = 8;
+
+/// Accepted off-chip bandwidths in GB/s, for spec overrides and job
+/// platforms alike. The floor keeps a layer's memory cycles (bytes over
+/// bytes-per-cycle) far inside `u64`; the cap sits well above any DRAM
+/// the paper models (32–512 GB/s in Fig. 15(c)).
+pub const BANDWIDTH_GBPS: RangeInclusive<f64> = 1.0..=65536.0;
+
+/// Accepted per-MAC dynamic-energy multipliers.
+pub const MAC_ENERGY_MULTIPLIER: RangeInclusive<f64> = 1.0..=16.0;
+
+/// `Ok` when `v` lies in `range`, else `"<field>: <v> must be in
+/// [lo, hi]"` — NaN and infinities never pass.
+fn check_range(field: &str, v: f64, range: &RangeInclusive<f64>) -> Result<(), String> {
+    if range.contains(&v) {
+        Ok(())
+    } else {
+        Err(format!(
+            "{field}: {v:?} must be in [{}, {}]",
+            range.start(),
+            range.end()
+        ))
+    }
+}
+
+/// Checks an off-chip bandwidth (GB/s) against [`BANDWIDTH_GBPS`];
+/// the error names the `bandwidth_gbps` field.
+pub fn check_bandwidth_gbps(gbps: f64) -> Result<(), String> {
+    check_range("bandwidth_gbps", gbps, &BANDWIDTH_GBPS)
+}
 
 impl ArchSpec {
     /// Semantic validation beyond shape: value ranges, name discipline,
@@ -314,190 +367,42 @@ impl ArchSpec {
                 ));
             }
         }
-        if !self.dataflow.multiplier.is_finite() || self.dataflow.multiplier < 1.0 {
-            return Err(format!(
-                "dataflow.multiplier: {} must be finite and ≥ 1",
-                self.dataflow.multiplier
-            ));
-        }
-        if !self.dataflow.efficiency.is_finite()
-            || self.dataflow.efficiency <= 0.0
-            || self.dataflow.efficiency > 1.0
-        {
-            return Err(format!(
-                "dataflow.efficiency: {} must be in (0, 1]",
-                self.dataflow.efficiency
-            ));
-        }
+        check_range("dataflow.multiplier", self.dataflow.multiplier, &MULTIPLIER)?;
+        check_range("dataflow.efficiency", self.dataflow.efficiency, &EFFICIENCY)?;
         if let CodecSpec::GroupedSdc { group } = self.codec {
             if !(1..=MAX_GROUP).contains(&group) {
                 return Err(format!("codec.group: {group} out of range 1..={MAX_GROUP}"));
             }
         }
         if let Some(bw) = self.bandwidth_gbps {
-            if !bw.is_finite() || bw <= 0.0 {
-                return Err(format!("bandwidth_gbps: {bw} must be finite and positive"));
-            }
+            check_bandwidth_gbps(bw)?;
         }
         if let Some(lanes) = self.lanes {
-            if lanes == 0 {
-                return Err("lanes: must be ≥ 1".into());
+            if !LANES.contains(&lanes) || lanes % LANE_WIDTH != 0 {
+                return Err(format!(
+                    "lanes: {lanes} must be a multiple of {LANE_WIDTH} in [{}, {}]",
+                    LANES.start(),
+                    LANES.end()
+                ));
             }
         }
-        if !self.mac_energy_multiplier.is_finite() || self.mac_energy_multiplier < 1.0 {
-            return Err(format!(
-                "mac_energy_multiplier: {} must be finite and ≥ 1",
-                self.mac_energy_multiplier
-            ));
-        }
+        check_range(
+            "mac_energy_multiplier",
+            self.mac_energy_multiplier,
+            &MAC_ENERGY_MULTIPLIER,
+        )?;
         Ok(())
-    }
-}
-
-/// A spec-driven architecture: interprets an [`ArchSpec`] as a full
-/// [`ArchModel`]. Construction validates the spec, so every live
-/// `CustomArch` is well-formed.
-pub struct CustomArch {
-    spec: ArchSpec,
-    id: ArchId,
-}
-
-impl CustomArch {
-    /// Interprets a validated spec. Returns the validation message on a
-    /// malformed one.
-    pub fn new(spec: ArchSpec) -> Result<CustomArch, String> {
-        spec.validate()?;
-        let id = ArchId::custom(&spec.name);
-        Ok(CustomArch { spec, id })
-    }
-
-    /// The interpreted spec.
-    pub fn spec_ref(&self) -> &ArchSpec {
-        &self.spec
-    }
-}
-
-impl ArchModel for CustomArch {
-    fn id(&self) -> ArchId {
-        self.id.clone()
-    }
-
-    fn display_name(&self) -> &str {
-        &self.spec.display
-    }
-
-    fn canonical_name(&self) -> &str {
-        &self.spec.name
-    }
-
-    fn summary(&self) -> &str {
-        &self.spec.summary
-    }
-
-    fn spec(&self) -> ArchSpec {
-        self.spec.clone()
-    }
-
-    fn native_pattern(&self) -> PatternKind {
-        self.spec.pattern
-    }
-
-    fn native_schedule(&self) -> SchedulePolicy {
-        self.spec.schedule
-    }
-
-    fn block_work(&self, b: &BlockStats) -> BlockWork {
-        BlockWork {
-            slots: self.spec.dataflow.slots(b),
-            nonempty_rows: if self.spec.dataflow.has_dense_term() {
-                b.block_rows
-            } else {
-                b.nonempty_rows
-            },
-            independent_dim: b.independent_dim,
-        }
-    }
-
-    /// Batched pricing at builtin speeds: nnz-only dataflows zip the
-    /// plan's occupancy columns, dense-only ones its geometry columns;
-    /// only mixed row-shape terms fall back to per-block stats.
-    fn block_works_batch(&self, plan: &BlockPlan) -> Vec<BlockWork> {
-        let df = &self.spec.dataflow;
-        match df.terms.as_slice() {
-            [SlotTerm::Nnz] => nnz_proportional_batch(plan, |nnz| df.scale(nnz)),
-            [SlotTerm::Dense] => plan
-                .dense_slots()
-                .iter()
-                .zip(plan.block_rows())
-                .zip(plan.independent_dim())
-                .map(|((&slots, &rows), &indep)| BlockWork {
-                    slots: df.scale(slots),
-                    nonempty_rows: rows,
-                    independent_dim: indep,
-                })
-                .collect(),
-            _ => {
-                let mut works = Vec::with_capacity(plan.len());
-                for i in 0..plan.len() {
-                    works.push(self.block_work(&plan.stats(i)));
-                }
-                works
-            }
-        }
-    }
-
-    fn extra_compute_cycles(&self, works: &[BlockWork], pes: usize) -> u64 {
-        if !self.spec.row_frontend {
-            return 0;
-        }
-        let rows: u64 = works.iter().map(|w| w.nonempty_rows as u64).sum();
-        rows.div_ceil(pes as u64)
-    }
-
-    fn weight_trace(&self, layer: &SparseLayer, plan: &BlockPlan) -> WeightTrace {
-        self.spec.codec.weight_trace(layer, plan)
-    }
-
-    fn dense_info_stream(&self, layer: &SparseLayer, fmt: FormatOverride) -> bool {
-        match self.spec.dense_info {
-            DenseInfoPolicy::Never => false,
-            DenseInfoPolicy::Always => true,
-            DenseInfoPolicy::NonTbsNative => layer.tbs().is_none() && fmt == FormatOverride::Native,
-        }
-    }
-
-    fn consumes_ddc(&self) -> bool {
-        self.spec.consumes_ddc
-    }
-
-    fn datapath(&self, shape: PeArrayShape) -> DatapathCosts {
-        self.spec.datapath.build(shape)
-    }
-
-    fn lanes(&self, shape: PeArrayShape) -> usize {
-        self.spec.lanes.unwrap_or_else(|| shape.mults())
-    }
-
-    fn bandwidth_override_gbps(&self) -> Option<f64> {
-        self.spec.bandwidth_gbps
-    }
-
-    fn has_hierarchical_scheduling(&self) -> bool {
-        self.spec.hierarchical_scheduling
-    }
-
-    fn mac_energy_multiplier(&self) -> f64 {
-        self.spec.mac_energy_multiplier
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::arch::Arch;
+    use crate::arch::{Arch, ArchId};
+    use crate::ArchModel;
 
     fn tb_spec() -> ArchSpec {
-        Arch::TbStc.model().spec()
+        Arch::TbStc.model().spec().clone()
     }
 
     #[test]
@@ -515,7 +420,7 @@ mod tests {
     fn custom_arch_identity_is_custom() {
         let mut spec = tb_spec();
         spec.name = "my-tbs".into();
-        let arch = CustomArch::new(spec).unwrap();
+        let arch = ArchModel::custom(spec).unwrap();
         assert_eq!(arch.id(), ArchId::custom("my-tbs"));
         assert_eq!(arch.id().builtin(), None);
         assert_eq!(arch.canonical_name(), "my-tbs");
@@ -524,7 +429,7 @@ mod tests {
     #[test]
     fn validation_names_the_field_path() {
         type Mutation = Box<dyn Fn(&mut ArchSpec)>;
-        let cases: [(&str, Mutation); 6] = [
+        let cases: [(&str, Mutation); 16] = [
             ("name:", Box::new(|s| s.name = "Bad Name".into())),
             ("dataflow.terms:", Box::new(|s| s.dataflow.terms.clear())),
             (
@@ -540,13 +445,46 @@ mod tests {
                 Box::new(|s| s.bandwidth_gbps = Some(-1.0)),
             ),
             ("lanes:", Box::new(|s| s.lanes = Some(0))),
+            // Each bound, from both sides: values that validated once and
+            // then wrapped cycle counts, priced nothing, or panicked.
+            (
+                "dataflow.multiplier:",
+                Box::new(|s| s.dataflow.multiplier = 1e300),
+            ),
+            (
+                "dataflow.multiplier:",
+                Box::new(|s| s.dataflow.multiplier = 0.5),
+            ),
+            (
+                "dataflow.efficiency:",
+                Box::new(|s| s.dataflow.efficiency = 1e-300),
+            ),
+            (
+                "dataflow.efficiency:",
+                Box::new(|s| s.dataflow.efficiency = 1.5),
+            ),
+            ("lanes:", Box::new(|s| s.lanes = Some(1))),
+            ("lanes:", Box::new(|s| s.lanes = Some(12))),
+            ("lanes:", Box::new(|s| s.lanes = Some(usize::MAX))),
+            (
+                "bandwidth_gbps:",
+                Box::new(|s| s.bandwidth_gbps = Some(1e-300)),
+            ),
+            (
+                "bandwidth_gbps:",
+                Box::new(|s| s.bandwidth_gbps = Some(f64::INFINITY)),
+            ),
+            (
+                "mac_energy_multiplier:",
+                Box::new(|s| s.mac_energy_multiplier = 1e300),
+            ),
         ];
         for (needle, mutate) in cases {
             let mut spec = tb_spec();
             mutate(&mut spec);
             let err = spec.validate().unwrap_err();
             assert!(err.starts_with(needle), "{needle} !~ {err}");
-            assert!(CustomArch::new(spec).is_err());
+            assert!(ArchModel::custom(spec).is_err());
         }
     }
 

@@ -1,9 +1,10 @@
 //! Golden parity fixture: every [`LayerResult`] field, bit-identical.
 //!
 //! The fixture under `tests/fixtures/golden_layer_results.txt` was
-//! recorded on main *before* the `ArchModel` registry refactor, across
-//! all 8 architectures × sparsities {0.5, 0.75, 0.9375} × two model
-//! layers (BERT attn.q and ResNet-50 conv2 3x3). Floating-point fields
+//! recorded from the hand-written per-architecture models, across all 8
+//! architectures × sparsities {0.5, 0.75, 0.9375} × two model layers
+//! (BERT attn.q and ResNet-50 conv2 3x3). It is the oracle for the spec
+//! interpreter that replaced those models. Floating-point fields
 //! are stored as raw IEEE-754 bits, so any change to the arithmetic —
 //! even one that only perturbs rounding — fails the test.
 //!
